@@ -6,11 +6,9 @@
 //!
 //! Run with: `cargo run --release -p xhc-bench --bin ablation_baselines`
 
-use xhc_core::baselines::{
-    canceling_only_bits, masking_only_bits, superset_canceling, SupersetConfig,
-};
+use xhc_core::baselines::{superset_canceling, SupersetConfig};
 use xhc_core::{evaluate_hybrid, toggle_masking, CellSelection, TogglePolicy};
-use xhc_misr::XCancelConfig;
+use xhc_misr::{conventional_masking_bits, XCancelConfig};
 use xhc_workload::WorkloadSpec;
 
 fn main() {
@@ -39,13 +37,13 @@ fn main() {
     println!(
         "{:<34} {:>14.0} {:>22}",
         "X-masking only [5]",
-        masking_only_bits(xmap.config(), xmap.num_patterns()) as f64,
+        conventional_masking_bits(xmap.config(), xmap.num_patterns()) as f64,
         0
     );
     println!(
         "{:<34} {:>14.0} {:>22}",
         "X-canceling MISR only [12]",
-        canceling_only_bits(cancel, xmap.total_x()),
+        cancel.control_bits(xmap.total_x()),
         0
     );
     for slack in [0.0, 0.25, 0.5, 1.0] {

@@ -26,6 +26,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Instant;
 
+use xhc_bench::timing::percentile;
 use xhc_core::PartitionEngine;
 use xhc_misr::XCancelConfig;
 use xhc_serve::{client, Server, ServerConfig};
@@ -154,14 +155,6 @@ fn run_client(
         }
     }
     out
-}
-
-/// Nearest-rank percentile over a sorted sample set.
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[(sorted.len() * pct).div_ceil(100).max(1) - 1]
 }
 
 /// The snapshot case lines this run contributes.

@@ -128,9 +128,8 @@ impl Harness {
         samples.sort_unstable();
         let min = samples[0];
         let median = samples[samples.len() / 2];
-        // Nearest-rank percentiles: ceil(q * n) as a 1-based rank.
-        let p95 = samples[(samples.len() * 95).div_ceil(100) - 1];
-        let p99 = samples[(samples.len() * 99).div_ceil(100) - 1];
+        let p95 = percentile(&samples, 95);
+        let p99 = percentile(&samples, 99);
         let mean = samples.iter().sum::<Duration>() / samples.len() as u32;
         println!(
             "{full:<48} {iters:>6} iters   min {:>12}   median {:>12}   p95 {:>12}   p99 {:>12}   mean {:>12}",
@@ -199,6 +198,16 @@ impl Drop for Harness {
     }
 }
 
+/// Nearest-rank percentile over a sorted sample set: the sample at
+/// 1-based rank `ceil(pct * n / 100)` (rank 1 for `pct = 0`), or the
+/// default value when there are no samples.
+pub fn percentile<T: Copy + Default>(sorted: &[T], pct: usize) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[(sorted.len() * pct).div_ceil(100).max(1) - 1]
+}
+
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -228,6 +237,18 @@ mod tests {
             json_path: None,
             results: Vec::new(),
         }
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let samples: Vec<u64> = (1..=20).collect();
+        assert_eq!(percentile(&samples, 0), 1);
+        assert_eq!(percentile(&samples, 50), 10);
+        assert_eq!(percentile(&samples, 95), 19);
+        assert_eq!(percentile(&samples, 99), 20);
+        assert_eq!(percentile(&samples, 100), 20);
+        assert_eq!(percentile(&[7u64], 99), 7);
+        assert_eq!(percentile::<u64>(&[], 50), 0);
     }
 
     #[test]

@@ -43,12 +43,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::baselines::{
-    canceling_only_bits, masking_only_bits, superset_canceling_detailed, SupersetConfig,
-};
+use crate::baselines::{superset_canceling, SupersetConfig};
 use crate::partition::{PartitionEngine, PartitionOutcome, PlanOptions};
 use xhc_bits::XBitMatrix;
-use xhc_misr::XCancelConfig;
+use xhc_misr::{conventional_masking_bits, XCancelConfig};
 use xhc_scan::XMap;
 
 /// The stable identifier of a planning backend.
@@ -356,7 +354,7 @@ impl PlanBackend for MaskingOnlyBackend {
     }
 
     /// Pure accounting (`opts` is ignored): control bits are
-    /// [`masking_only_bits`], each pattern pays one mask word.
+    /// [`conventional_masking_bits`], each pattern pays one mask word.
     fn plan(&self, input: &WorkloadInput<'_>, _opts: &PlanOptions) -> BackendReport {
         let xmap = input.xmap;
         let word_bits = xmap.config().mask_word_bits() as f64;
@@ -374,7 +372,7 @@ impl PlanBackend for MaskingOnlyBackend {
             .collect();
         BackendReport {
             backend: BackendId::MaskingOnly,
-            control_bits: masking_only_bits(xmap.config(), xmap.num_patterns()) as f64,
+            control_bits: conventional_masking_bits(xmap.config(), xmap.num_patterns()) as f64,
             masked_x: xmap.total_x(),
             leaked_x: 0,
             lost_observability: 0,
@@ -395,7 +393,8 @@ impl PlanBackend for CancelingOnlyBackend {
     }
 
     /// Pure accounting (`opts` is ignored): control bits are
-    /// [`canceling_only_bits`], split per pattern by its own X count.
+    /// [`XCancelConfig::control_bits`], split per pattern by its own X
+    /// count.
     fn plan(&self, input: &WorkloadInput<'_>, _opts: &PlanOptions) -> BackendReport {
         let xmap = input.xmap;
         let per_pattern = xmap
@@ -412,7 +411,7 @@ impl PlanBackend for CancelingOnlyBackend {
             .collect();
         BackendReport {
             backend: BackendId::CancelingOnly,
-            control_bits: canceling_only_bits(input.cancel, xmap.total_x()),
+            control_bits: input.cancel.control_bits(xmap.total_x()),
             masked_x: 0,
             leaked_x: xmap.total_x(),
             lost_observability: 0,
@@ -423,9 +422,8 @@ impl PlanBackend for CancelingOnlyBackend {
 }
 
 /// The merge slack the superset backend plans with. Mirrors the
-/// `examples/baseline_tour.rs` setting; the raw
-/// [`superset_canceling`](crate::baselines::superset_canceling) function
-/// remains available for other slacks.
+/// `examples/baseline_tour.rs` setting; call [`superset_canceling`]
+/// directly for other slacks.
 pub const SUPERSET_BACKEND_SLACK: f64 = 0.25;
 
 /// The planning backend for [`BackendId::Superset`]: greedy
@@ -444,7 +442,7 @@ impl PlanBackend for SupersetBackend {
     /// the merge's sacrificed non-X bits land in `lost_observability`.
     fn plan(&self, input: &WorkloadInput<'_>, _opts: &PlanOptions) -> BackendReport {
         let xmap = input.xmap;
-        let detail = superset_canceling_detailed(
+        let clusters = superset_canceling(
             xmap,
             SupersetConfig {
                 cancel: input.cancel,
@@ -456,8 +454,8 @@ impl PlanBackend for SupersetBackend {
             .into_iter()
             .enumerate()
             .map(|(p, total_x)| {
-                let share = match detail.cluster_of[p] {
-                    Some(ci) => detail.cluster_bits[ci] / detail.cluster_members[ci] as f64,
+                let share = match clusters.cluster_of[p] {
+                    Some(ci) => clusters.cluster_bits[ci] / clusters.cluster_members[ci] as f64,
                     None => 0.0,
                 };
                 PatternBreakdown {
@@ -471,10 +469,10 @@ impl PlanBackend for SupersetBackend {
             .collect();
         BackendReport {
             backend: BackendId::Superset,
-            control_bits: detail.report.control_bits(),
+            control_bits: clusters.control_bits(),
             masked_x: 0,
             leaked_x: xmap.total_x(),
-            lost_observability: detail.report.lost_observability,
+            lost_observability: clusters.lost_observability,
             per_pattern,
             outcome: None,
         }

@@ -1,21 +1,13 @@
-//! The comparison baselines of the paper's Table 1, plus a
-//! superset-X-canceling-style baseline for the ablation benches.
+//! A superset-X-canceling-style baseline (approximating the paper's
+//! references \[17, 18\]) for the backend fleet and the ablation benches.
+//!
+//! The two Table-1 baselines need no module of their own: conventional
+//! X-masking \[5\] is [`xhc_misr::conventional_masking_bits`] and the
+//! X-canceling MISR alone \[12\] is [`XCancelConfig::control_bits`].
 
 use std::collections::HashSet;
-use xhc_misr::{conventional_masking_bits, XCancelConfig};
-use xhc_scan::{ScanConfig, XMap};
-
-/// Baseline \[5\]: conventional per-pattern X-masking. Control bits =
-/// `L · C · P`.
-pub fn masking_only_bits(config: &ScanConfig, num_patterns: usize) -> u128 {
-    conventional_masking_bits(config, num_patterns)
-}
-
-/// Baseline \[12\]: X-canceling MISR only. Control bits =
-/// `m · q · totalX / (m − q)`.
-pub fn canceling_only_bits(cancel: XCancelConfig, total_x: usize) -> f64 {
-    cancel.control_bits(total_x)
-}
+use xhc_misr::XCancelConfig;
+use xhc_scan::XMap;
 
 /// Configuration for the superset-X-canceling-style baseline
 /// (approximating the paper's references \[17, 18\]).
@@ -30,38 +22,16 @@ pub struct SupersetConfig {
     pub merge_slack: f64,
 }
 
-/// The result of the superset-X-canceling baseline.
+/// The result of the superset-X-canceling baseline: the greedy
+/// clustering and what it costs.
 ///
 /// Unlike the paper's proposed method, merging a pattern whose X set is a
 /// *proper subset* of the cluster union treats some of its non-X values as
 /// X — `lost_observability` counts those positions, which is exactly why
 /// \[17, 18\] need iterative fault simulation and the proposed method does
 /// not.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SupersetReport {
-    /// Number of pattern clusters sharing control data.
-    pub clusters: usize,
-    /// Total selective-XOR control bits (one set per cluster).
-    pub control_bits_x1000: u128,
-    /// Non-X response bits whose observability is sacrificed by merging.
-    pub lost_observability: usize,
-}
-
-impl SupersetReport {
-    /// Total control bits as a float.
-    pub fn control_bits(&self) -> f64 {
-        self.control_bits_x1000 as f64 / 1000.0
-    }
-}
-
-/// The superset baseline's full clustering detail: the legacy report
-/// plus per-pattern cluster membership, for callers (the backend fleet)
-/// that need a per-pattern account rather than just the totals.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SupersetDetail {
-    /// The aggregate report, identical to what
-    /// [`superset_canceling`] returns for the same inputs.
-    pub report: SupersetReport,
+pub struct SupersetClusters {
     /// Which cluster each pattern joined (`None` for X-free patterns,
     /// which need no canceling at all).
     pub cluster_of: Vec<Option<usize>>,
@@ -69,6 +39,23 @@ pub struct SupersetDetail {
     pub cluster_bits: Vec<f64>,
     /// Each cluster's member count.
     pub cluster_members: Vec<usize>,
+    /// Total selective-XOR control bits (one set per cluster), times
+    /// 1000 and rounded.
+    pub control_bits_x1000: u128,
+    /// Non-X response bits whose observability is sacrificed by merging.
+    pub lost_observability: usize,
+}
+
+impl SupersetClusters {
+    /// Number of pattern clusters sharing control data.
+    pub fn clusters(&self) -> usize {
+        self.cluster_bits.len()
+    }
+
+    /// Total control bits as a float.
+    pub fn control_bits(&self) -> f64 {
+        self.control_bits_x1000 as f64 / 1000.0
+    }
 }
 
 /// Runs the superset-X-canceling-style baseline.
@@ -79,13 +66,7 @@ pub struct SupersetDetail {
 /// its X locations and reused by every member pattern. It is documented as
 /// an approximation in `DESIGN.md` (the original's exact merge heuristic is
 /// not published in the DAC'16 paper).
-pub fn superset_canceling(xmap: &XMap, config: SupersetConfig) -> SupersetReport {
-    superset_canceling_detailed(xmap, config).report
-}
-
-/// Like [`superset_canceling`], but also reports which cluster each
-/// pattern landed in and each cluster's cost (see [`SupersetDetail`]).
-pub fn superset_canceling_detailed(xmap: &XMap, config: SupersetConfig) -> SupersetDetail {
+pub fn superset_canceling(xmap: &XMap, config: SupersetConfig) -> SupersetClusters {
     // Invert the map: X-cell set per pattern.
     let mut per_pattern: Vec<Vec<usize>> = vec![Vec::new(); xmap.num_patterns()];
     for (cell, xs) in xmap.iter() {
@@ -148,15 +129,12 @@ pub fn superset_canceling_detailed(xmap: &XMap, config: SupersetConfig) -> Super
         cluster_bits.push(bits);
         control_bits += bits;
     }
-    SupersetDetail {
-        report: SupersetReport {
-            clusters: clusters.len(),
-            control_bits_x1000: (control_bits * 1000.0).round() as u128,
-            lost_observability: lost,
-        },
-        cluster_members: clusters.iter().map(|c| c.members).collect(),
-        cluster_bits,
+    SupersetClusters {
         cluster_of,
+        cluster_bits,
+        cluster_members: clusters.iter().map(|c| c.members).collect(),
+        control_bits_x1000: (control_bits * 1000.0).round() as u128,
+        lost_observability: lost,
     }
 }
 
@@ -164,7 +142,7 @@ pub fn superset_canceling_detailed(xmap: &XMap, config: SupersetConfig) -> Super
 mod tests {
     use super::*;
     use xhc_bits::PatternSet;
-    use xhc_scan::{CellId, XMapBuilder};
+    use xhc_scan::{CellId, ScanConfig, XMapBuilder};
 
     fn map_with(sets: &[(usize, &[usize])], patterns: usize) -> XMap {
         // sets: (cell linear index on a 1-chain config, pattern list)
@@ -181,18 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn masking_only_matches_misr_crate() {
-        let cfg = ScanConfig::uniform(5, 3);
-        assert_eq!(masking_only_bits(&cfg, 8), 120);
-    }
-
-    #[test]
-    fn canceling_only_is_per_x_cost() {
-        let c = XCancelConfig::new(10, 2);
-        assert!((canceling_only_bits(c, 28) - 70.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn identical_x_patterns_share_one_cluster() {
         // 4 patterns, all with the same two X cells -> one cluster, no
         // lost observability.
@@ -204,7 +170,7 @@ mod tests {
                 merge_slack: 0.0,
             },
         );
-        assert_eq!(report.clusters, 1);
+        assert_eq!(report.clusters(), 1);
         assert_eq!(report.lost_observability, 0);
         // One cluster with |union| = 2 -> 10*2*2/8 = 5 bits; vs canceling
         // only: 8 X's -> 20 bits.
@@ -221,7 +187,7 @@ mod tests {
                 merge_slack: 0.0,
             },
         );
-        assert_eq!(report.clusters, 3);
+        assert_eq!(report.clusters(), 3);
         assert_eq!(report.lost_observability, 0);
     }
 
@@ -237,7 +203,7 @@ mod tests {
                 merge_slack: 0.5,
             },
         );
-        assert_eq!(report.clusters, 1);
+        assert_eq!(report.clusters(), 1);
         assert!(report.lost_observability > 0);
     }
 
@@ -251,7 +217,7 @@ mod tests {
                 merge_slack: 0.0,
             },
         );
-        assert_eq!(report.clusters, 1);
+        assert_eq!(report.clusters(), 1);
         assert!((report.control_bits() - 2.5).abs() < 1e-6);
     }
 }

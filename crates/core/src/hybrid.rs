@@ -1,9 +1,8 @@
 //! The hybrid X-masking / X-canceling architecture, end to end.
 
-use crate::baselines::{canceling_only_bits, masking_only_bits};
 use crate::partition::{CellSelection, PartitionEngine, PartitionOutcome};
 use xhc_logic::Trit;
-use xhc_misr::XCancelConfig;
+use xhc_misr::{conventional_masking_bits, XCancelConfig};
 use xhc_scan::{ResponseMatrix, XMap};
 
 /// A full evaluation of the proposed hybrid against both baselines on one
@@ -86,8 +85,8 @@ pub fn report_for_outcome(
         0.0
     };
 
-    let masking_only = masking_only_bits(xmap.config(), num_patterns);
-    let canceling_only = canceling_only_bits(cancel, total_x);
+    let masking_only = conventional_masking_bits(xmap.config(), num_patterns);
+    let canceling_only = cancel.control_bits(total_x);
     let proposed = outcome.cost.total();
 
     let residual_density = if bits > 0.0 {

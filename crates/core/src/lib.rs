@@ -17,8 +17,8 @@
 //! 5. [`apply_partition_masks`] — operational gating of real captured
 //!    responses, feeding `xhc-misr`'s [`CancelSession`] for end-to-end
 //!    validation;
-//! 6. [`baselines`] — baseline accounting plus a superset-X-canceling
-//!    style comparison point (\[17, 18\]);
+//! 6. [`baselines`] — a superset-X-canceling-style comparison point
+//!    (\[17, 18\]);
 //! 7. [`backend`] — the [`PlanBackend`] trait putting the hybrid, both
 //!    Table-1 baselines, the superset baseline and a weight-3 X-code
 //!    compactor behind one planning API with a uniform

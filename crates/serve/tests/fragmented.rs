@@ -1,14 +1,18 @@
-//! Front-end equivalence and robustness tests for the event loop:
-//! fragmented and pipelined requests must produce byte-identical
-//! responses to the blocking reference front end at every engine thread
-//! count; concurrent same-workload submissions must share one packed
-//! matrix build; overload must shed with `429` + `Retry-After`; a
-//! slow-loris sender must be timed out with `408`; and the keep-alive
-//! client must reuse and recover connections.
+//! Wire-level and robustness tests for the event loop: fragmented and
+//! pipelined requests must reproduce the committed golden responses
+//! (`tests/golden/*.http`) byte for byte at every engine thread count;
+//! concurrent same-workload submissions must share one packed matrix
+//! build; overload must shed with `429` + `Retry-After`; a slow-loris
+//! sender must be timed out with `408`; and the keep-alive client must
+//! reuse and recover connections.
+//!
+//! The golden files were recorded from a daemon answering each request
+//! with `Connection: close` framing; a keep-alive response differs from
+//! them only in its `Connection` header.
 
 use std::fs;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Barrier;
 use std::thread;
@@ -28,6 +32,16 @@ fn test_spec() -> WorkloadSpec {
         ..WorkloadSpec::default()
     }
 }
+
+/// The cache-hit response to `POST /v1/plan?m=32&q=7` with the
+/// [`test_spec`] X map as its body.
+const GOLDEN_PLAN_HIT: &[u8] = include_bytes!("golden/plan_hit_m32_q7.http");
+/// The answer to a `Transfer-Encoding: chunked` plan request.
+const GOLDEN_CHUNKED_501: &[u8] = include_bytes!("golden/chunked_501.http");
+/// The answer to a partial request head followed by silence.
+const GOLDEN_SLOW_LORIS_408: &[u8] = include_bytes!("golden/slow_loris_408.http");
+/// The answer to `GET /healthz`.
+const GOLDEN_HEALTHZ: &[u8] = include_bytes!("golden/healthz.http");
 
 /// A heavier workload, for tests that need the engine busy long enough
 /// for concurrency to be observable.
@@ -49,29 +63,16 @@ struct TestServer {
 }
 
 impl TestServer {
-    /// Starts a daemon on the event-loop (`blocking = false`) or the
-    /// blocking reference (`blocking = true`) front end.
-    fn start(
-        tag: &str,
-        blocking: bool,
-        configure: impl FnOnce(ServerConfig) -> ServerConfig,
-    ) -> TestServer {
-        let store_dir = std::env::temp_dir().join(format!(
-            "xhc-fragmented-{tag}-{blocking}-{}",
-            std::process::id()
-        ));
+    /// Starts a daemon on its own store directory.
+    fn start(tag: &str, configure: impl FnOnce(ServerConfig) -> ServerConfig) -> TestServer {
+        let store_dir =
+            std::env::temp_dir().join(format!("xhc-fragmented-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&store_dir);
         let config = configure(ServerConfig::new(&store_dir).with_workers(8));
         let server = Server::bind("127.0.0.1:0", config).expect("bind loopback");
         let addr = server.local_addr();
         let handle = server.handle();
-        let join = thread::spawn(move || {
-            if blocking {
-                server.run_blocking()
-            } else {
-                server.run()
-            }
-        });
+        let join = thread::spawn(move || server.run());
         TestServer {
             addr,
             handle,
@@ -159,80 +160,69 @@ fn split_response(buf: &[u8]) -> (&[u8], &[u8]) {
     buf.split_at(head_end + content_length)
 }
 
+/// Asserts `response` equals `golden` byte for byte, printing both as
+/// lossy UTF-8 on a mismatch (plan bodies are binary).
+fn assert_golden(response: &[u8], golden: &[u8], what: &str) {
+    assert!(
+        response == golden,
+        "{what} differs from the golden transcript\n--- got ---\n{}\n--- golden ---\n{}",
+        String::from_utf8_lossy(response),
+        String::from_utf8_lossy(golden)
+    );
+}
+
+/// Primes `server`'s store so the compared responses are cache hits (a
+/// cold miss carries its own engine wall time, which is never
+/// reproducible byte for byte).
+fn prime(server: &TestServer, body: &[u8]) {
+    let r = client::post(
+        server.addr,
+        "/v1/plan?m=32&q=7",
+        "application/octet-stream",
+        body,
+    )
+    .expect("prime");
+    assert_eq!(r.status, 200, "{}", r.body_text());
+}
+
 #[test]
-fn fragmented_requests_match_the_blocking_front_end() {
+fn fragmented_requests_match_the_golden_transcript() {
     let body = encode_xmap(&test_spec().generate());
     for engine_threads in [1usize, 2, 8] {
-        let event = TestServer::start(&format!("frag-ev-{engine_threads}"), false, |c| {
+        let server = TestServer::start(&format!("frag-{engine_threads}"), |c| {
             c.with_threads(engine_threads)
         });
-        let blocking = TestServer::start(&format!("frag-bl-{engine_threads}"), true, |c| {
-            c.with_threads(engine_threads)
-        });
-        // Prime both stores so the compared responses are cache hits
-        // (a cold miss carries its own engine wall time, which can
-        // never be byte-identical across two processes).
-        for s in [&event, &blocking] {
-            let r = client::post(
-                s.addr,
-                "/v1/plan?m=32&q=7",
-                "application/octet-stream",
-                &body,
-            )
-            .expect("prime");
-            assert_eq!(r.status, 200, "{}", r.body_text());
-        }
+        prime(&server, &body);
+        // One request over many small TCP segments.
         let wire = render_plan_request("/v1/plan?m=32&q=7", &body, true);
-        // One request over many small TCP segments against the event
-        // loop; one segment against the blocking reference.
-        let from_event = send_fragmented(event.addr, &wire, 64);
-        let from_blocking = send_whole(blocking.addr, &wire);
-        assert!(!from_event.is_empty());
-        assert_eq!(
-            from_event, from_blocking,
-            "fragmented response differs from the blocking front end at {engine_threads} engine threads"
+        let response = send_fragmented(server.addr, &wire, 64);
+        assert_golden(
+            &response,
+            GOLDEN_PLAN_HIT,
+            &format!("fragmented response at {engine_threads} engine threads"),
         );
-        let text = String::from_utf8_lossy(&from_event);
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("X-Xhc-Cache: hit"), "{text}");
     }
 }
 
 #[test]
-fn pipelined_requests_match_the_blocking_front_end() {
+fn pipelined_requests_match_the_golden_transcript() {
     let body = encode_xmap(&test_spec().generate());
     for engine_threads in [1usize, 2, 8] {
-        let event = TestServer::start(&format!("pipe-ev-{engine_threads}"), false, |c| {
+        let server = TestServer::start(&format!("pipe-{engine_threads}"), |c| {
             c.with_threads(engine_threads)
         });
-        let blocking = TestServer::start(&format!("pipe-bl-{engine_threads}"), true, |c| {
-            c.with_threads(engine_threads)
-        });
-        for s in [&event, &blocking] {
-            let r = client::post(
-                s.addr,
-                "/v1/plan?m=32&q=7",
-                "application/octet-stream",
-                &body,
-            )
-            .expect("prime");
-            assert_eq!(r.status, 200, "{}", r.body_text());
-        }
+        prime(&server, &body);
         // Two requests in ONE segment: a keep-alive plan fetch, then a
         // closing plan fetch. The event loop must answer both, in
         // order, on the one connection.
         let mut wire = render_plan_request("/v1/plan?m=32&q=7", &body, false);
         wire.extend_from_slice(&render_plan_request("/v1/plan?m=32&q=7", &body, true));
-        let combined = send_whole(event.addr, &wire);
+        let combined = send_whole(server.addr, &wire);
         let (first, rest) = split_response(&combined);
         let (second, tail) = split_response(rest);
         assert!(tail.is_empty(), "unexpected trailing bytes");
 
-        let reference = send_whole(
-            blocking.addr,
-            &render_plan_request("/v1/plan?m=32&q=7", &body, true),
-        );
-        // The keep-alive response differs from the reference only in
+        // The keep-alive response differs from the golden one only in
         // its Connection header; normalize the (ASCII) head only — the
         // body is binary plan bytes.
         let head_len = first
@@ -245,13 +235,15 @@ fn pipelined_requests_match_the_blocking_front_end() {
             .replace("Connection: keep-alive", "Connection: close")
             .into_bytes();
         first_normalized.extend_from_slice(&first[head_len..]);
-        assert_eq!(
-            first_normalized, reference,
-            "pipelined response 1 differs at {engine_threads} engine threads"
+        assert_golden(
+            &first_normalized,
+            GOLDEN_PLAN_HIT,
+            &format!("pipelined response 1 at {engine_threads} engine threads"),
         );
-        assert_eq!(
-            second, reference,
-            "pipelined response 2 differs at {engine_threads} engine threads"
+        assert_golden(
+            second,
+            GOLDEN_PLAN_HIT,
+            &format!("pipelined response 2 at {engine_threads} engine threads"),
         );
     }
 }
@@ -277,7 +269,7 @@ fn concurrent_best_cost_submissions_share_one_matrix_build() {
             .map_or(0, |(_, v)| v)
     };
 
-    let server = TestServer::start("batch", false, |c| c.with_threads(2));
+    let server = TestServer::start("batch", |c| c.with_threads(2));
     const CLIENTS: usize = 4;
     // Sharing is only guaranteed while requests actually overlap, so a
     // pathological scheduler stall can legitimately split the build;
@@ -334,7 +326,7 @@ fn concurrent_best_cost_submissions_share_one_matrix_build() {
 #[test]
 fn overload_sheds_with_retry_after() {
     let body = encode_xmap(&slow_spec().generate());
-    let server = TestServer::start("shed", false, |c| {
+    let server = TestServer::start("shed", |c| {
         c.with_threads(1)
             .with_workers(1)
             .with_max_inflight(1)
@@ -395,56 +387,38 @@ fn overload_sheds_with_retry_after() {
 #[test]
 fn chunked_transfer_encoding_is_rejected_with_501() {
     // Bodies are Content-Length framed only: a chunked request gets an
-    // explicit 501 with a diagnostic body — on BOTH front ends — instead
-    // of a generic parse failure.
-    for blocking in [false, true] {
-        let server = TestServer::start("chunked", blocking, |c| c.with_threads(1));
-        let wire: &[u8] = b"POST /v1/plan?m=32&q=7 HTTP/1.1\r\n\
-            Host: xhc-serve\r\n\
-            Transfer-Encoding: chunked\r\n\
-            Connection: close\r\n\r\n\
-            4\r\nBODY\r\n0\r\n\r\n";
-        let response = send_whole(server.addr, wire);
-        let text = String::from_utf8_lossy(&response);
-        assert!(
-            text.starts_with("HTTP/1.1 501 Not Implemented\r\n"),
-            "front end blocking={blocking}: {text}"
-        );
-        assert!(text.contains("chunked"), "{text}");
-        assert!(text.contains("Content-Length"), "{text}");
-    }
+    // explicit 501 with a diagnostic body instead of a generic parse
+    // failure.
+    let server = TestServer::start("chunked", |c| c.with_threads(1));
+    let wire: &[u8] = b"POST /v1/plan?m=32&q=7 HTTP/1.1\r\n\
+        Host: xhc-serve\r\n\
+        Transfer-Encoding: chunked\r\n\
+        Connection: close\r\n\r\n\
+        4\r\nBODY\r\n0\r\n\r\n";
+    let response = send_whole(server.addr, wire);
+    assert_golden(&response, GOLDEN_CHUNKED_501, "chunked request");
 }
 
 #[test]
 fn slow_loris_senders_get_408() {
-    for blocking in [false, true] {
-        let server = TestServer::start("loris", blocking, |c| {
-            c.with_threads(1).with_read_timeout_ms(150)
-        });
-        // A partial request head, then silence: the daemon must answer
-        // 408 instead of holding the connection (and a worker) forever.
-        let mut stream = TcpStream::connect(server.addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream
-            .write_all(b"POST /v1/plan HTTP/1.1\r\nHost: xhc-serve\r\n")
-            .unwrap();
-        let mut response = Vec::new();
-        stream.read_to_end(&mut response).expect("read 408");
-        let text = String::from_utf8_lossy(&response);
-        assert!(
-            text.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
-            "front end blocking={blocking}: {text}"
-        );
-    }
+    let server = TestServer::start("loris", |c| c.with_threads(1).with_read_timeout_ms(150));
+    // A partial request head, then silence: the daemon must answer 408
+    // instead of holding the connection forever.
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(b"POST /v1/plan HTTP/1.1\r\nHost: xhc-serve\r\n")
+        .unwrap();
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read 408");
+    assert_golden(&response, GOLDEN_SLOW_LORIS_408, "slow-loris answer");
 }
 
 #[test]
 fn idle_connections_are_closed_silently() {
-    let server = TestServer::start("idle", false, |c| {
-        c.with_threads(1).with_read_timeout_ms(100)
-    });
+    let server = TestServer::start("idle", |c| c.with_threads(1).with_read_timeout_ms(100));
     // A connection that never sends a byte is not a slow loris — it is
     // just idle keep-alive, and is closed without a response.
     let mut stream = TcpStream::connect(server.addr).unwrap();
@@ -456,9 +430,38 @@ fn idle_connections_are_closed_silently() {
     assert!(response.is_empty(), "idle close must not send bytes");
 }
 
+/// A fake daemon that answers each of `connections` connections with
+/// one golden `/healthz` response (`Connection: close`) and then closes
+/// it. Returns its address and a join handle yielding the request heads
+/// it read.
+fn one_shot_healthz(connections: usize) -> (std::net::SocketAddr, thread::JoinHandle<Vec<String>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let join = thread::spawn(move || {
+        let mut heads = Vec::new();
+        for _ in 0..connections {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream);
+            let mut head = String::new();
+            loop {
+                let mut line = String::new();
+                if reader.read_line(&mut line).expect("read request") == 0 || line == "\r\n" {
+                    break;
+                }
+                head.push_str(&line);
+            }
+            let mut stream = reader.into_inner();
+            stream.write_all(GOLDEN_HEALTHZ).expect("write response");
+            heads.push(head);
+        }
+        heads
+    });
+    (addr, join)
+}
+
 #[test]
 fn keep_alive_client_reuses_and_recovers() {
-    let event = TestServer::start("client-ev", false, |c| c.with_threads(1));
+    let event = TestServer::start("client-ev", |c| c.with_threads(1));
     let mut c = client::Client::new(event.addr);
     assert!(!c.is_connected());
     let first = c.get("/healthz").expect("first get");
@@ -474,16 +477,32 @@ fn keep_alive_client_reuses_and_recovers() {
         .expect("post plan");
     assert_eq!(planned.status, 200, "{}", planned.body_text());
 
-    // Against the blocking front end every response says
-    // `Connection: close`; the client must honour it and reconnect.
-    let blocking = TestServer::start("client-bl", true, |c| c.with_threads(1));
-    let mut c = client::Client::new(blocking.addr);
-    let r = c.get("/healthz").expect("blocking get");
+    // A server that answers `Connection: close` and hangs up: the
+    // client must honour the header and reconnect for the next call.
+    let (addr, fake) = one_shot_healthz(2);
+    let mut c = client::Client::new(addr);
+    let r = c.get("/healthz").expect("one-shot get");
     assert_eq!(r.status, 200);
+    assert_eq!(r.body, b"ok\n");
     assert!(
         !c.is_connected(),
         "a Connection: close response must drop the cached stream"
     );
     let r = c.get("/healthz").expect("reconnected get");
     assert_eq!(r.status, 200);
+    let heads = fake.join().expect("fake server");
+    assert_eq!(heads.len(), 2, "the second call must open a new connection");
+    assert!(heads
+        .iter()
+        .all(|h| h.starts_with("GET /healthz HTTP/1.1\r\n")));
+}
+
+#[test]
+fn healthz_matches_the_golden_transcript() {
+    let server = TestServer::start("healthz", |c| c.with_threads(1));
+    let response = send_whole(
+        server.addr,
+        b"GET /healthz HTTP/1.1\r\nHost: xhc-serve\r\nConnection: close\r\n\r\n",
+    );
+    assert_golden(&response, GOLDEN_HEALTHZ, "/healthz");
 }

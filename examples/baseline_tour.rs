@@ -6,14 +6,12 @@
 
 #![deny(deprecated)]
 
-use xhybrid::core::baselines::{
-    canceling_only_bits, masking_only_bits, superset_canceling, SupersetConfig,
-};
+use xhybrid::core::baselines::{superset_canceling, SupersetConfig};
 use xhybrid::core::{
     evaluate_hybrid, toggle_masking, CellSelection, PartitionEngine, PlanOptions, SplitStrategy,
     TogglePolicy,
 };
-use xhybrid::misr::{shadow_cancel_report, XCancelConfig};
+use xhybrid::misr::{conventional_masking_bits, shadow_cancel_report, XCancelConfig};
 use xhybrid::workload::WorkloadSpec;
 
 fn main() {
@@ -45,7 +43,7 @@ fn main() {
     // [5] conventional per-pattern masking: cheap time, huge data.
     row(
         "X-masking only [5]",
-        masking_only_bits(xmap.config(), xmap.num_patterns()) as f64,
+        conventional_masking_bits(xmap.config(), xmap.num_patterns()) as f64,
         "1.000".into(),
         "-".into(),
     );
@@ -54,7 +52,7 @@ fn main() {
     let t12 = cancel.normalized_test_time(xmap.config().num_chains(), xmap.x_density());
     row(
         "X-canceling MISR only [12]",
-        canceling_only_bits(cancel, xmap.total_x()),
+        cancel.control_bits(xmap.total_x()),
         format!("{t12:.3}"),
         "-".into(),
     );
